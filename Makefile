@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Minimum statement coverage for the model-fitting core.
 CORE_COVER_FLOOR ?= 85.0
@@ -8,14 +9,14 @@ SERVE_COVER_FLOOR ?= 80.0
 STREAM_COVER_FLOOR ?= 85.0
 # Minimum statement coverage for the cluster routing tier.
 CLUSTER_COVER_FLOOR ?= 85.0
-# Minimum statement coverage for the hierarchical roofline geometry and
-# its kernel roster.
+# Minimum statement coverage for the classic roofline baseline and the
+# workload kernel roster.
 ROOFLINE_COVER_FLOOR ?= 85.0
 # Minimum statement coverage for the wait-for graph and the combined
 # on/off-CPU analysis built on it.
 WAITGRAPH_COVER_FLOOR ?= 85.0
 
-.PHONY: all build test vet lint race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke fuzz fuzz-short chaos chaos-cluster bench-gate verify clean
+.PHONY: all build fmt-check test vet lint race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke fuzz fuzz-short chaos chaos-cluster bench-gate verify clean
 
 # Pinned linter versions, fetched on demand with `go run`. In an offline
 # environment (no module proxy) lint degrades to a warning + skip, so the
@@ -65,55 +66,43 @@ race:
 cover/:
 	@mkdir -p cover
 
-# Coverage gate: internal/core must stay at or above CORE_COVER_FLOOR.
-cover: | cover/
-	$(GO) test -coverprofile=cover/coverage.out ./internal/core/
-	@pct=$$($(GO) tool cover -func=cover/coverage.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/core coverage: $$pct% (floor $(CORE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(CORE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/core coverage $$pct% is below the $(CORE_COVER_FLOOR)% floor"; exit 1; }
+# Coverage gates, one per tier: each target tests COVER_PKGS and fails
+# when their combined statement coverage is below COVER_FLOOR.
+COVER_TARGETS := cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph
 
-# Coverage gate for the serving tier.
-cover-serve: | cover/
-	$(GO) test -coverprofile=cover/coverage-serve.out ./internal/serve/
-	@pct=$$($(GO) tool cover -func=cover/coverage-serve.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/serve coverage: $$pct% (floor $(SERVE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(SERVE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/serve coverage $$pct% is below the $(SERVE_COVER_FLOOR)% floor"; exit 1; }
+# The model-fitting core.
+cover: COVER_PKGS = ./internal/core/
+cover: COVER_FLOOR = $(CORE_COVER_FLOOR)
+# The serving tier.
+cover-serve: COVER_PKGS = ./internal/serve/
+cover-serve: COVER_FLOOR = $(SERVE_COVER_FLOOR)
+# The streaming tier.
+cover-stream: COVER_PKGS = ./internal/stream/
+cover-stream: COVER_FLOOR = $(STREAM_COVER_FLOOR)
+# The cluster routing tier.
+cover-cluster: COVER_PKGS = ./internal/cluster/
+cover-cluster: COVER_FLOOR = $(CLUSTER_COVER_FLOOR)
+# The classic roofline baseline and the workload kernel roster.
+cover-roofline: COVER_PKGS = ./internal/roofline/ ./internal/workloads/
+cover-roofline: COVER_FLOOR = $(ROOFLINE_COVER_FLOOR)
+# The off-CPU analysis stack: the wait-for graph and the combined
+# partition/ranking layer on top of it.
+cover-waitgraph: COVER_PKGS = ./internal/waitgraph/ ./internal/analysis/
+cover-waitgraph: COVER_FLOOR = $(WAITGRAPH_COVER_FLOOR)
 
-# Coverage gate for the streaming tier.
-cover-stream: | cover/
-	$(GO) test -coverprofile=cover/coverage-stream.out ./internal/stream/
-	@pct=$$($(GO) tool cover -func=cover/coverage-stream.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/stream coverage: $$pct% (floor $(STREAM_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(STREAM_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/stream coverage $$pct% is below the $(STREAM_COVER_FLOOR)% floor"; exit 1; }
+$(COVER_TARGETS): | cover/
+	$(GO) test -coverprofile=cover/$@.out $(COVER_PKGS)
+	@pct=$$($(GO) tool cover -func=cover/$@.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
+	echo "$(COVER_PKGS) coverage: $$pct% (floor $(COVER_FLOOR)%)"; \
+	awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
+		{ echo "FAIL: $(COVER_PKGS) coverage $$pct% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Coverage gate for the cluster routing tier.
-cover-cluster: | cover/
-	$(GO) test -coverprofile=cover/coverage-cluster.out ./internal/cluster/
-	@pct=$$($(GO) tool cover -func=cover/coverage-cluster.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/cluster coverage: $$pct% (floor $(CLUSTER_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(CLUSTER_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/cluster coverage $$pct% is below the $(CLUSTER_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the hierarchical roofline geometry and the workload
-# kernel roster that exercises it.
-cover-roofline: | cover/
-	$(GO) test -coverprofile=cover/coverage-roofline.out ./internal/roofline/ ./internal/workloads/
-	@pct=$$($(GO) tool cover -func=cover/coverage-roofline.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/roofline+workloads coverage: $$pct% (floor $(ROOFLINE_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(ROOFLINE_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/roofline+workloads coverage $$pct% is below the $(ROOFLINE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage gate for the off-CPU analysis stack: the wait-for graph and
-# the combined partition/ranking layer on top of it.
-cover-waitgraph: | cover/
-	$(GO) test -coverprofile=cover/coverage-waitgraph.out ./internal/waitgraph/ ./internal/analysis/
-	@pct=$$($(GO) tool cover -func=cover/coverage-waitgraph.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/waitgraph+analysis coverage: $$pct% (floor $(WAITGRAPH_COVER_FLOOR)%)"; \
-	awk -v p="$$pct" -v f="$(WAITGRAPH_COVER_FLOOR)" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' || \
-		{ echo "FAIL: internal/waitgraph+analysis coverage $$pct% is below the $(WAITGRAPH_COVER_FLOOR)% floor"; exit 1; }
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the
+# tree.
+fmt-check:
+	@out=$$($(GOFMT) -l .); \
+	if [ -n "$$out" ]; then echo "FAIL: gofmt would rewrite:"; echo "$$out"; exit 1; fi; \
+	echo "gofmt: ok"
 
 # Black-box smoke: build the real binary, start `spire serve` (and a
 # router in front of a shard), hit /healthz and one estimate over HTTP,
@@ -129,8 +118,9 @@ fuzz:
 
 # Quick fuzz smoke over every fuzz target (10s each): the batch and
 # incremental ingest parsers, the roofline fitter, the parallel trainer,
-# the model loader, the sliding-window merge, and the serving tier's
-# estimate handler and model-upload decoder.
+# the model loader, the sliding-window merge, the serving tier's
+# estimate handler and model-upload decoder, and the estimate body
+# decoder shared by serve and route.
 fuzz-short:
 	$(GO) test -fuzz FuzzPerfStatCSV -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz FuzzStreamFeed -fuzztime 10s ./internal/ingest/
@@ -144,6 +134,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzModelDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz FuzzBinDecodeEstimate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzBinRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeEstimate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzParseShardList -fuzztime 10s ./internal/cluster/
 	$(GO) test -fuzz FuzzSchedEventParse -fuzztime 10s ./internal/ingest/
@@ -171,10 +162,10 @@ chaos-cluster:
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 -timeout 600s .
 
-# The full verification gate: build, static checks, tests, race tests,
-# the coverage floors, the serving smoke, the chaos soak, a short fuzz
-# smoke, and the benchmark regression gate.
-verify: build vet lint test race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke chaos chaos-cluster fuzz-short bench-gate
+# The full verification gate: build, formatting, static checks, tests,
+# race tests, the coverage floors, the serving smoke, the chaos soak, a
+# short fuzz smoke, and the benchmark regression gate.
+verify: build fmt-check vet lint test race cover cover-serve cover-stream cover-cluster cover-roofline cover-waitgraph smoke chaos chaos-cluster fuzz-short bench-gate
 
 clean:
 	$(GO) clean ./...

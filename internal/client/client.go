@@ -372,21 +372,15 @@ func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts Estim
 		accept  string
 		err     error
 	)
+	req := &wire.EstimateRequest{Samples: samples, Top: opts.Top, Workers: opts.Workers, Sched: opts.Sched}
 	switch opts.Wire {
 	case "", WireJSON:
-		reqBody, err = json.Marshal(struct {
-			Samples []core.Sample     `json:"samples"`
-			Top     int               `json:"top,omitempty"`
-			Workers int               `json:"workers,omitempty"`
-			Sched   []core.SchedEvent `json:"sched,omitempty"`
-		}{samples, opts.Top, opts.Workers, opts.Sched})
+		reqBody, err = json.Marshal(req)
 		if err != nil {
 			return nil, err
 		}
 	case WireBin:
-		reqBody = wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-			Top: opts.Top, Workers: opts.Workers, Samples: samples, Sched: opts.Sched,
-		})
+		reqBody = wire.AppendEstimateRequest(nil, req)
 		ct = wire.ContentTypeBin
 		accept = wire.ContentTypeBin
 	default:
@@ -413,10 +407,7 @@ func (c *Client) Estimate(ctx context.Context, samples []core.Sample, opts Estim
 	}
 	// JSON response: the default, and also every error body (errors are
 	// JSON regardless of the negotiated wire format).
-	var body struct {
-		Model      string           `json:"model"`
-		Estimation *core.Estimation `json:"estimation"`
-	}
+	var body wire.EstimateResponse
 	if err := decodeAPI(res, &body); err != nil {
 		return nil, err
 	}

@@ -23,11 +23,11 @@ import (
 
 // Fault kinds counted by Chaos.Counts.
 const (
-	FaultStall    = "stall"     // a read pauses for Stall
-	FaultReset    = "reset"     // the connection dies mid-exchange
-	FaultSlowrite = "slowrite"  // writes trickle out in tiny delayed chunks
-	FaultTruncate = "truncate"  // the body/frame is cut short
-	faultNone     = "none"      // plan drew no fault (not reported)
+	FaultStall    = "stall"    // a read pauses for Stall
+	FaultReset    = "reset"    // the connection dies mid-exchange
+	FaultSlowrite = "slowrite" // writes trickle out in tiny delayed chunks
+	FaultTruncate = "truncate" // the body/frame is cut short
+	faultNone     = "none"     // plan drew no fault (not reported)
 )
 
 // ChaosConfig tunes the transport corruptor. Rates are per-exchange

@@ -1,6 +1,6 @@
 // Package geom provides the small computational-geometry kernel used by
-// SPIRE's roofline fitting: 2-D points, piecewise-linear functions, upper
-// convex hulls, and Pareto fronts.
+// SPIRE's roofline fitting: 2-D points, slopes, upper convex hulls, and
+// Pareto fronts.
 //
 // Throughout this package the x axis is a SPIRE operational intensity
 // (work per metric event) and the y axis is a throughput (work per time).

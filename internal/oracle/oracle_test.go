@@ -13,7 +13,7 @@ func TestLeftEvalTriangle(t *testing.T) {
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 4}, {X: 4, Y: 5}}
 	cases := []struct{ x, want float64 }{
 		{0, 0},
-		{1, 2},   // chord origin->(2,4) at x=1, above the (1,1) sample
+		{1, 2}, // chord origin->(2,4) at x=1, above the (1,1) sample
 		{2, 4},
 		{3, 4.5}, // chord (2,4)->(4,5)
 		{4, 5},
@@ -34,7 +34,7 @@ func TestLeftEvalTriangle(t *testing.T) {
 func TestParetoFrontNaive(t *testing.T) {
 	pts := []geom.Point{
 		{X: 1, Y: 5}, {X: 2, Y: 3}, {X: 2, Y: 3}, // duplicate collapses
-		{X: 1.5, Y: 2},                           // dominated by (2,3)
+		{X: 1.5, Y: 2}, // dominated by (2,3)
 		{X: 4, Y: 1},
 	}
 	front := ParetoFront(pts)

@@ -352,16 +352,12 @@ func writeRaw(w http.ResponseWriter, code int, raw []byte, contentType string) {
 	w.Write(raw)
 }
 
-// isBinMedia reports whether an HTTP media-type header value selects the
-// SPB1 binary wire format; error responses are always JSON regardless.
-func isBinMedia(v string) bool { return wire.IsBinMedia(v) }
-
 // acceptsBin reports whether the Accept header opts the response into
 // SPB1. Absent or anything else (including */*) stays JSON — binary is
 // strictly opt-in.
 func acceptsBin(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if isBinMedia(part) {
+		if wire.IsBinMedia(part) {
 			return true
 		}
 	}
@@ -379,22 +375,6 @@ func writeIfTooBig(w http.ResponseWriter, err error) bool {
 	}
 	writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 	return true
-}
-
-// decodeQuiet strictly decodes one JSON value from the (size-capped)
-// body without writing a response, for paths that decide the status
-// themselves (a shed request is answered 429 whether or not its body
-// parses).
-func decodeQuiet(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// Trailing garbage after the value is a malformed request too.
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
 }
 
 // defaultTenant is the quota bucket for requests without an explicit
@@ -421,29 +401,13 @@ func writeRejected(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusTooManyRequests, "overloaded: %v", re)
 }
 
-// EstimateRequest is the /v1/estimate request body. Samples use the
-// core.Sample JSON shape ({"metric","t","w","m","window"}).
-type EstimateRequest struct {
-	Samples []core.Sample `json:"samples"`
-	// Top truncates the returned per-metric ranking; 0 returns all.
-	Top int `json:"top,omitempty"`
-	// Workers requests an estimation worker budget; clamped to the
-	// server's MaxWorkers. 0 = server default.
-	Workers int `json:"workers,omitempty"`
-	// Sched optionally carries the workload's scheduler events; when
-	// present the response's estimation includes the combined
-	// on-CPU/off-CPU report.
-	Sched []core.SchedEvent `json:"sched,omitempty"`
-}
+// EstimateRequest is the /v1/estimate request body; wire.EstimateRequest
+// is its single schema for both JSON and SPB1.
+type EstimateRequest = wire.EstimateRequest
 
-// EstimateResponse is the /v1/estimate response body.
-type EstimateResponse struct {
-	// Model is the serving model's content-addressed version ID.
-	Model string `json:"model"`
-	// Estimation is the full estimation result; identical to what
-	// `spire analyze -json` prints for the same samples and model.
-	Estimation *core.Estimation `json:"estimation"`
-}
+// EstimateResponse is the /v1/estimate response body; see
+// wire.EstimateResponse.
+type EstimateResponse = wire.EstimateResponse
 
 // respKey keys the degraded-mode response cache: same model, same
 // workload content hash, same truncation, same wire format, same
@@ -487,28 +451,6 @@ func schedKey(events []core.SchedEvent) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// decodeEstimateRequest decodes the estimate body in whichever wire
-// format the request declares: SPB1 when Content-Type is
-// application/x-spire-bin, strict JSON otherwise.
-func (s *Server) decodeEstimateRequest(r *http.Request) (*EstimateRequest, error) {
-	if isBinMedia(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, err
-		}
-		wreq, err := wire.DecodeEstimateRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		return &EstimateRequest{Samples: wreq.Samples, Top: wreq.Top, Workers: wreq.Workers, Sched: wreq.Sched}, nil
-	}
-	var req EstimateRequest
-	if err := decodeQuiet(r, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ens, info := s.models.Current()
 	if ens == nil {
@@ -530,11 +472,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	req, derr := s.decodeEstimateRequest(r)
-	if derr != nil {
-		if !writeIfTooBig(w, derr) {
-			writeErr(w, http.StatusBadRequest, "malformed request body: %v", derr)
-		}
+	// The whole (size-capped) body is read before decoding, so an
+	// over-cap body is a 413 whatever its content.
+	body, err := io.ReadAll(r.Body)
+	if writeIfTooBig(w, err) {
+		return
+	}
+	var req *wire.EstimateRequest
+	if err == nil {
+		req, err = wire.DecodeEstimate(body, r.Header.Get("Content-Type"))
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
 	}
 	if len(req.Samples) == 0 {
@@ -588,13 +537,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var (
 		raw []byte
 		ct  = "application/json"
+		res = &wire.EstimateResponse{Model: info.ID, Estimation: est}
 	)
 	wantBin := acceptsBin(r)
 	if wantBin {
 		ct = wire.ContentTypeBin
-		raw = wire.AppendEstimateResponse(nil, &wire.EstimateResponse{Model: info.ID, Estimation: est})
+		raw = wire.AppendEstimateResponse(nil, res)
 	} else {
-		raw, err = json.Marshal(EstimateResponse{Model: info.ID, Estimation: est})
+		raw, err = json.Marshal(res)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "response encoding failed")
 			return
@@ -619,9 +569,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // degradeOrReject answers a request the gate shed: a workload whose
 // exact response was recently computed under the current model is served
 // from cache (byte-identical, marked X-Spire-Degraded), anything else is
-// a 429 with Retry-After.
+// a 429 with Retry-After — whether or not the body decodes.
 func (s *Server) degradeOrReject(w http.ResponseWriter, r *http.Request, modelID string, aerr error) {
-	if req, err := s.decodeEstimateRequest(r); err == nil && len(req.Samples) > 0 {
+	body, err := io.ReadAll(r.Body)
+	var req *wire.EstimateRequest
+	if err == nil {
+		req, err = wire.DecodeEstimate(body, r.Header.Get("Content-Type"))
+	}
+	if err == nil && len(req.Samples) > 0 {
 		wantBin := acceptsBin(r)
 		if raw, ok := s.resp.get(respKey(modelID, engine.WorkloadKey(req.Samples), req.Top, wantBin, schedKey(req.Sched))); ok {
 			ct := "application/json"

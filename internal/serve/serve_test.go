@@ -184,6 +184,18 @@ func TestEstimateRequestErrors(t *testing.T) {
 	}
 	testutil.ReadBody(t, resp)
 
+	// The cap is checked before decoding, so an oversized body is a 413
+	// even when its first byte is already malformed — the router's answer
+	// for the same body.
+	resp, err = http.Post(url, "application/json", strings.NewReader("x"+strings.Repeat(" ", 4096)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized malformed body status = %d, want 413", resp.StatusCode)
+	}
+	testutil.ReadBody(t, resp)
+
 	// GET on a POST route is a 405 from the mux.
 	getResp, err := http.Get(url)
 	if err != nil {

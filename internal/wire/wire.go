@@ -24,6 +24,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -73,18 +74,47 @@ const HeaderSize = 9
 // server's request-size limit.
 const MaxPayload = 64 << 20
 
-// EstimateRequest mirrors the JSON estimate request body.
+// EstimateRequest is the /v1/estimate request body, the one schema
+// behind both encodings: JSON through the field tags, SPB1 through
+// AppendEstimateRequest / DecodeEstimateRequest. Samples use the
+// core.Sample JSON shape ({"metric","t","w","m","window"}).
 type EstimateRequest struct {
-	Top     int
-	Workers int
-	Samples []core.Sample
-	Sched   []core.SchedEvent
+	Samples []core.Sample `json:"samples"`
+	// Top truncates the returned per-metric ranking; 0 returns all.
+	Top int `json:"top,omitempty"`
+	// Workers requests an estimation worker budget; the server clamps
+	// it to its own cap. 0 = server default.
+	Workers int `json:"workers,omitempty"`
+	// Sched optionally carries the workload's scheduler events; when
+	// present the response's estimation includes the combined
+	// on-CPU/off-CPU report.
+	Sched []core.SchedEvent `json:"sched,omitempty"`
 }
 
-// EstimateResponse mirrors the JSON estimate response body.
+// EstimateResponse is the 200 /v1/estimate response body in both
+// encodings.
 type EstimateResponse struct {
-	Model      string
-	Estimation *core.Estimation
+	// Model is the serving model's content-addressed version ID.
+	Model string `json:"model"`
+	// Estimation is the full estimation result; identical to what
+	// `spire analyze -json` prints for the same samples and model.
+	Estimation *core.Estimation `json:"estimation"`
+}
+
+// DecodeEstimate decodes one /v1/estimate body in the encoding its
+// Content-Type declares: SPB1 for ContentTypeBin, strict JSON otherwise.
+// Strict JSON tolerates unknown fields and rejects any data after the
+// value. The serving node and the router both decode through here, so a
+// body one rejects the other rejects too.
+func DecodeEstimate(body []byte, contentType string) (*EstimateRequest, error) {
+	if IsBinMedia(contentType) {
+		return DecodeEstimateRequest(body)
+	}
+	req := new(EstimateRequest)
+	if err := json.Unmarshal(body, req); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // SampleBatch is one stream-feed interval, the binary twin of the CSV
